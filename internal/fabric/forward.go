@@ -224,7 +224,7 @@ func (n *Network) switchReceive(sw topology.SwitchID, port int, p *Packet, now s
 	} else {
 		ss.cands = ss.cands[:0]
 		for _, c := range cands {
-			ss.cands = append(ss.cands, spray.Candidate{Port: int(c), QueueBytes: ss.egress[c].load(now, n.tau, prio)})
+			ss.cands = append(ss.cands, spray.Candidate{Port: int(c), QueueBytes: ss.egress[c].load(now, &ss.d.decay, prio)})
 		}
 		pick := ss.policy.Pick(ss.cands, p.FlowKey())
 		egressPort = ss.cands[pick].Port

@@ -38,7 +38,7 @@ func (t *serTimer) Fire(now sim.Time) {
 	ld := t.ld
 	ld.busy = false
 	ld.inflight[t.prio] = 0
-	ld.addRecent(now, t.size, t.prio, t.n.tau)
+	ld.addRecent(now, t.size, t.prio, &ld.sendD.decay)
 	t.n.kick(ld)
 }
 
@@ -139,15 +139,16 @@ func (ld *linkDir) queuedBytes() int64 {
 
 // load returns the spray metric this port shows to a packet of the
 // given priority: queued + in-flight + decayed recent bytes of that
-// class and every stricter class. tau <= 0 disables the memory term.
-func (ld *linkDir) load(now sim.Time, tau float64, prio int) int64 {
+// class and every stricter class. The decay factors come from the
+// sender domain's memo m; m.tau <= 0 disables the memory term.
+func (ld *linkDir) load(now sim.Time, m *decayMemo, prio int) int64 {
 	var total int64
 	for p := 0; p <= prio; p++ {
 		if ld.recent[p] > 0 {
-			if tau <= 0 {
+			if m.tau <= 0 {
 				ld.recent[p] = 0
 			} else if now > ld.recentAt[p] {
-				ld.recent[p] *= decayFactor(float64(now-ld.recentAt[p]), tau)
+				ld.recent[p] *= m.factor(p, float64(now-ld.recentAt[p]))
 				ld.recentAt[p] = now
 				if ld.recent[p] < 1 {
 					ld.recent[p] = 0
@@ -159,12 +160,12 @@ func (ld *linkDir) load(now sim.Time, tau float64, prio int) int64 {
 	return total
 }
 
-func (ld *linkDir) addRecent(now sim.Time, size, prio int, tau float64) {
-	if tau <= 0 {
+func (ld *linkDir) addRecent(now sim.Time, size, prio int, m *decayMemo) {
+	if m.tau <= 0 {
 		return
 	}
 	if ld.recent[prio] > 0 && now > ld.recentAt[prio] {
-		ld.recent[prio] *= decayFactor(float64(now-ld.recentAt[prio]), tau)
+		ld.recent[prio] *= m.factor(prio, float64(now-ld.recentAt[prio]))
 	}
 	ld.recent[prio] += float64(size)
 	ld.recentAt[prio] = now
@@ -323,9 +324,40 @@ func (n *Network) LinkStats(link topology.LinkID, dir Direction) LinkDirStats {
 		Delivered: ld.delivered, DeliveredBytes: ld.deliveredBytes,
 		FaultDropped: ld.faultDropped, FaultDroppedBytes: ld.faultDroppedBytes,
 		AdminDropped: ld.adminDropped, AdminDroppedBytes: ld.adminDroppedBytes,
-		CEMarked:     ld.ceMarked,
+		CEMarked: ld.ceMarked,
 	}
 }
 
-// decayFactor computes exp(-dt/tau) for the load estimator.
-func decayFactor(dt, tau float64) float64 { return math.Exp(-dt / tau) }
+// decayMemo caches the spray-memory decay factor exp(-dt/tau) per
+// priority class. After a spray pick every candidate port of a switch
+// carries the same recentAt, so the next pick usually asks for the same
+// dt once per candidate; a hit returns the factor math.Exp produced for
+// exactly those inputs, so the estimate is bit-identical to computing
+// it afresh. Each domainState owns one memo (domains run concurrently).
+// Entries are per class because one load call decays every class up to
+// its own, so lookups for different classes interleave.
+type decayMemo struct {
+	tau float64                // time constant in picoseconds; <= 0 disables decay
+	dt  [numPriorities]float64 // last dt per class; NaN until first use
+	f   [numPriorities]float64 // exp(-dt/tau) for that dt
+}
+
+// newDecayMemo returns an empty memo. Every dt starts as NaN, which
+// compares unequal to everything, so the first lookup per class always
+// computes.
+func newDecayMemo(tau float64) decayMemo {
+	m := decayMemo{tau: tau}
+	for i := range m.dt {
+		m.dt[i] = math.NaN()
+	}
+	return m
+}
+
+// factor returns exp(-dt/tau) for one priority class.
+func (m *decayMemo) factor(prio int, dt float64) float64 {
+	if dt != m.dt[prio] {
+		m.dt[prio] = dt
+		m.f[prio] = math.Exp(-dt / m.tau)
+	}
+	return m.f[prio]
+}

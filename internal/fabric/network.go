@@ -170,6 +170,8 @@ type domainState struct {
 	freeArrivals []*arrivalTimer
 	freePauses   []*pauseTimer
 	nextPacketID uint64
+
+	decay decayMemo // spray-memory decay factors for this domain's senders
 }
 
 // Network is the simulated fabric. In legacy mode it is
@@ -201,8 +203,6 @@ type Network struct {
 
 	// fibRecomputes counts administrative transitions (FIB churn).
 	fibRecomputes uint64
-
-	tau float64 // spray-memory time constant in picoseconds; <= 0 disables
 }
 
 // allocArrival takes an arrival timer from a domain's pool (see
@@ -261,16 +261,17 @@ func New(cfg Config) (*Network, error) {
 		switches:     make([]switchState, len(cfg.Topo.Switches)),
 		links:        make([]linkState, len(cfg.Topo.Links)),
 		ingressHooks: make([][]IngressHook, len(cfg.Topo.Switches)),
-		tau:          float64(cfg.SprayMemory),
 	}
+
+	tau := float64(cfg.SprayMemory) // picoseconds; <= 0 disables spray memory
 
 	if n.par {
 		n.doms = make([]domainState, cfg.Partition.NumDomains)
 		for d := range n.doms {
-			n.doms[d] = domainState{eng: cfg.Group.Engine(d), dom: d}
+			n.doms[d] = domainState{eng: cfg.Group.Engine(d), dom: d, decay: newDecayMemo(tau)}
 		}
 	} else {
-		n.doms = []domainState{{eng: cfg.Engine, dom: 0}}
+		n.doms = []domainState{{eng: cfg.Engine, dom: 0, decay: newDecayMemo(tau)}}
 	}
 
 	for i := range n.links {

@@ -122,26 +122,26 @@ func TestPerPriorityLoadIsolation(t *testing.T) {
 	// measured collective.
 	ld := &linkDir{}
 	ld.queues[int(Low)].push(&Packet{Size: 1 << 20, Priority: Low})
-	tau := float64(5000000) // 5 µs in ps
-	if got := ld.load(0, tau, int(High)); got != 0 {
+	m := newDecayMemo(float64(5000000)) // 5 µs in ps
+	if got := ld.load(0, &m, int(High)); got != 0 {
 		t.Fatalf("High-class load sees Low bytes: %d", got)
 	}
-	if got := ld.load(0, tau, int(Low)); got != 1<<20 {
+	if got := ld.load(0, &m, int(Low)); got != 1<<20 {
 		t.Fatalf("Low-class load = %d, want its own bytes", got)
 	}
 	// Ctrl bytes are visible to every class.
 	ld.queues[int(Ctrl)].push(&Packet{Size: 64, Priority: Ctrl})
-	if got := ld.load(0, tau, int(High)); got != 64 {
+	if got := ld.load(0, &m, int(High)); got != 64 {
 		t.Fatalf("High-class load = %d, want 64 (Ctrl visible)", got)
 	}
 }
 
 func TestLoadRecentDecays(t *testing.T) {
 	ld := &linkDir{}
-	tau := float64(5 * 1000 * 1000) // 5 µs
-	ld.addRecent(0, 10000, int(High), tau)
-	early := ld.load(1000, tau, int(High))
-	late := ld.load(50*1000*1000, tau, int(High)) // 50 µs later
+	m := newDecayMemo(float64(5 * 1000 * 1000)) // 5 µs
+	ld.addRecent(0, 10000, int(High), &m)
+	early := ld.load(1000, &m, int(High))
+	late := ld.load(50*1000*1000, &m, int(High)) // 50 µs later
 	if early < 9000 {
 		t.Fatalf("recent bytes decayed too fast: %d", early)
 	}
@@ -150,8 +150,9 @@ func TestLoadRecentDecays(t *testing.T) {
 	}
 	// tau <= 0 disables the memory term entirely.
 	ld2 := &linkDir{}
-	ld2.addRecent(0, 10000, int(High), -1)
-	if got := ld2.load(1, -1, int(High)); got != 0 {
+	off := newDecayMemo(-1)
+	ld2.addRecent(0, 10000, int(High), &off)
+	if got := ld2.load(1, &off, int(High)); got != 0 {
 		t.Fatalf("disabled memory still contributes: %d", got)
 	}
 }

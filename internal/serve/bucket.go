@@ -22,7 +22,9 @@ import (
 // offline Replayer through it, which preserves the global event/action
 // order and therefore reproduces the trailer fingerprint bit for bit.
 type bucket struct {
-	sess  *session
+	sess *session
+	// shard is fixed at construction, before the bucket is published
+	// under the session's jobMu, so /metrics scrapes may read it.
 	shard *shard
 	ring  *ring
 
@@ -58,6 +60,7 @@ func newSeqBucket(s *session) (*bucket, error) {
 		return nil, err
 	}
 	b := &bucket{sess: s, ring: newRing(s.srv.cfg.RingSize), rp: rp}
+	b.shard = s.srv.shards[bucketShard(len(s.srv.shards), s.id, 0, 0)]
 	rp.OnEvent = func(e monitor.Event) { s.srv.publishEvent(s, &e) }
 	rp.OnAction = func(a remediate.Action) { s.srv.publishAction(s, &a) }
 	return b, nil
@@ -87,6 +90,7 @@ func newFanoutBucket(s *session, job uint16, leafOrd int) (*bucket, error) {
 		pred: &trace.SnapshotPredictor{},
 		fp:   trace.NewStreamFP(),
 	}
+	b.shard = s.srv.shards[bucketShard(len(s.srv.shards), s.id, job, leafOrd)]
 	det := detect.New(s.topo, b.pred, detect.Config{
 		Threshold:         jh.Threshold,
 		MinPredicted:      jh.MinPredicted,

@@ -414,3 +414,77 @@ func TestTornStreamReported(t *testing.T) {
 		t.Fatalf("pre-tear windows lost: %+v", st)
 	}
 }
+
+// TestMetricsScrapeDuringTCPIngest scrapes /metrics in a tight loop
+// while back-to-back fan-out sessions stream over TCP, each opening its
+// buckets mid-stream. Under -race it pins that a scrape reads only
+// bucket state published under the session lock. Scrapes go through
+// the real handler in-process, so they are frequent enough to overlap
+// bucket creation.
+func TestMetricsScrapeDuringTCPIngest(t *testing.T) {
+	const sessions = 6
+	raw := recordRun(t, false, 17)
+	rr, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := newTestServer(t, Config{Token: "tok", Shards: 3, RingSize: 16})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Drain(5 * time.Second)
+
+	h := srv.HTTPHandler()
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("scrape: status %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	done := make(chan struct{})
+	scrapes := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scrapes <- n
+				return
+			default:
+			}
+			scrape()
+			n++
+		}
+	}()
+
+	var windows int64
+	for i := 0; i < sessions; i++ {
+		p, err := DialProducer(l.Addr().String(), "tok", ModeFanout, fmt.Sprintf("scraped-%d", i), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Error != "" || st.Fingerprint != rr.BucketFingerprint {
+			t.Fatalf("session %d: status %+v, want bucket fp %016x", i, st, rr.BucketFingerprint)
+		}
+		windows += st.Windows
+	}
+	close(done)
+	if n := <-scrapes; n == 0 {
+		t.Error("no scrape completed during ingest")
+	}
+	if want := fmt.Sprintf("flowpulse_windows_total %d\n", windows); !strings.Contains(scrape(), want) {
+		t.Fatalf("final scrape missing %q", want)
+	}
+}

@@ -179,7 +179,7 @@ func (s *session) run() (*SessionStatus, error) {
 			// The window decoded straight into the reserved ring slot.
 			reserved.rec = rec
 			dst.ring.push()
-			s.shardFor(dst).enqueue(dst)
+			dst.shard.enqueue(dst)
 			s.windows.Add(1)
 			s.srv.met.windowsTotal.Add(1)
 		case rec.Kind == trace.KindWindow:
@@ -196,7 +196,7 @@ func (s *session) run() (*SessionStatus, error) {
 			e := b.ring.reserve()
 			e.rec = rec
 			b.ring.push()
-			s.shardFor(b).enqueue(b)
+			b.shard.enqueue(b)
 		case rec.Kind == trace.KindTrailer:
 			s.trailer = rec.Trailer
 		}
@@ -265,13 +265,6 @@ func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
 	s.buckets[k] = b
 	s.jobMu.Unlock()
 	return b, nil
-}
-
-func (s *session) shardFor(b *bucket) *shard {
-	if b.shard == nil {
-		b.shard = s.srv.shards[bucketShard(len(s.srv.shards), s.id, b.job, b.leafOrd)]
-	}
-	return b.shard
 }
 
 // quiesce waits until every record this session published has been

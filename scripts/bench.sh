@@ -19,7 +19,7 @@ out="BENCH_${date}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "${BENCHTIME:-1s}" . ./internal/trace ./internal/resilience ./internal/control ./internal/serve | tee "$raw"
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "${BENCHTIME:-1s}" . ./internal/sim ./internal/fabric ./internal/trace ./internal/resilience ./internal/control ./internal/serve | tee "$raw"
 
 awk -v date="$date" '
   /^goos:/ { goos = $2 }
