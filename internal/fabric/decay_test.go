@@ -8,22 +8,30 @@ import (
 	"flowpulse/internal/sim"
 )
 
-// TestDecayMemoBitExact: over random dt sequences with repeats,
-// interleaved across priority classes, the memoised factor has the
-// same bits as a fresh math.Exp(-dt/tau), on the first call too.
+// TestDecayMemoBitExact: over random dt sequences with repeats and
+// with keys that collide in the memo's table, the memoised factor has
+// the same bits as a fresh math.Exp(-dt/tau), on the first call too.
 func TestDecayMemoBitExact(t *testing.T) {
+	// Five of the eight pool values share one slot, so lookups evict
+	// each other.
+	var pool []sim.Time
+	for dt := sim.Time(0); len(pool) < 4; dt += 1237 {
+		pool = append(pool, dt) // includes 0
+	}
+	for dt := sim.Time(1); len(pool) < 8; dt++ {
+		if decaySlot(dt) == decaySlot(pool[1]) && dt != pool[1] {
+			pool = append(pool, dt)
+		}
+	}
 	prop := func(tauPS uint32, ops []uint16) bool {
 		tau := float64(tauPS) + 1
 		m := newDecayMemo(tau)
 		for i, op := range ops {
-			// A pool of eight dt values makes repeats common; the
-			// class comes from other bits so lookups interleave.
-			dt := float64(int(op%8) * 1237) // includes 0, the zero value of an unset entry
-			prio := int(op>>3) % numPriorities
-			got := m.factor(prio, dt)
-			if want := math.Exp(-dt / tau); math.Float64bits(got) != math.Float64bits(want) {
-				t.Logf("op %d (class %d, dt %v, tau %v): memo %x, exp %x",
-					i, prio, dt, tau, math.Float64bits(got), math.Float64bits(want))
+			dt := pool[op%uint16(len(pool))]
+			got := m.factor(dt)
+			if want := math.Exp(-float64(dt) / tau); math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("op %d (dt %v, tau %v): memo %x, exp %x",
+					i, dt, tau, math.Float64bits(got), math.Float64bits(want))
 				return false
 			}
 		}

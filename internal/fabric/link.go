@@ -148,7 +148,7 @@ func (ld *linkDir) load(now sim.Time, m *decayMemo, prio int) int64 {
 			if m.tau <= 0 {
 				ld.recent[p] = 0
 			} else if now > ld.recentAt[p] {
-				ld.recent[p] *= m.factor(p, float64(now-ld.recentAt[p]))
+				ld.recent[p] *= m.factor(now - ld.recentAt[p])
 				ld.recentAt[p] = now
 				if ld.recent[p] < 1 {
 					ld.recent[p] = 0
@@ -165,7 +165,7 @@ func (ld *linkDir) addRecent(now sim.Time, size, prio int, m *decayMemo) {
 		return
 	}
 	if ld.recent[prio] > 0 && now > ld.recentAt[prio] {
-		ld.recent[prio] *= m.factor(prio, float64(now-ld.recentAt[prio]))
+		ld.recent[prio] *= m.factor(now - ld.recentAt[prio])
 	}
 	ld.recent[prio] += float64(size)
 	ld.recentAt[prio] = now
@@ -328,22 +328,29 @@ func (n *Network) LinkStats(link topology.LinkID, dir Direction) LinkDirStats {
 	}
 }
 
-// decayMemo caches the spray-memory decay factor exp(-dt/tau) per
-// priority class. After a spray pick every candidate port of a switch
-// carries the same recentAt, so the next pick usually asks for the same
-// dt once per candidate; a hit returns the factor math.Exp produced for
-// exactly those inputs, so the estimate is bit-identical to computing
-// it afresh. Each domainState owns one memo (domains run concurrently).
-// Entries are per class because one load call decays every class up to
-// its own, so lookups for different classes interleave.
+// decayMemo caches the spray-memory decay factor exp(-dt/tau) in a
+// small direct-mapped table keyed by dt. After a spray pick every
+// candidate port of a switch carries the same recentAt, so the next
+// pick asks for the same few dt values over and over; a hit returns
+// the factor math.Exp produced for exactly those inputs, so the
+// estimate is bit-identical to computing it afresh. tau is shared by
+// every priority class, so one table serves them all. Each domainState
+// owns one memo (domains run concurrently).
 type decayMemo struct {
-	tau float64                // time constant in picoseconds; <= 0 disables decay
-	dt  [numPriorities]float64 // last dt per class; NaN until first use
-	f   [numPriorities]float64 // exp(-dt/tau) for that dt
+	tau float64             // time constant in picoseconds; <= 0 disables decay
+	dt  [decaySlots]float64 // cached dt per slot; NaN until first use
+	f   [decaySlots]float64 // exp(-dt/tau) for that dt
 }
 
+// decaySlots sizes the table: every fabric domain carries one, so it
+// stays at 1 KB.
+const (
+	decaySlots     = 64
+	decaySlotShift = 64 - 6 // log2(decaySlots) top bits of the hash
+)
+
 // newDecayMemo returns an empty memo. Every dt starts as NaN, which
-// compares unequal to everything, so the first lookup per class always
+// compares unequal to everything, so the first lookup per slot always
 // computes.
 func newDecayMemo(tau float64) decayMemo {
 	m := decayMemo{tau: tau}
@@ -353,11 +360,18 @@ func newDecayMemo(tau float64) decayMemo {
 	return m
 }
 
-// factor returns exp(-dt/tau) for one priority class.
-func (m *decayMemo) factor(prio int, dt float64) float64 {
-	if dt != m.dt[prio] {
-		m.dt[prio] = dt
-		m.f[prio] = math.Exp(-dt / m.tau)
+// decaySlot is the table slot of a dt: a Fibonacci hash of the integer
+// picoseconds.
+func decaySlot(dt sim.Time) uint64 { return uint64(dt) * 0x9E3779B97F4A7C15 >> decaySlotShift }
+
+// factor returns exp(-dt/tau) for a dt in picoseconds. The key compare
+// is on the float dt that math.Exp receives.
+func (m *decayMemo) factor(dt sim.Time) float64 {
+	i := decaySlot(dt)
+	x := float64(dt)
+	if x != m.dt[i] {
+		m.dt[i] = x
+		m.f[i] = math.Exp(-x / m.tau)
 	}
-	return m.f[prio]
+	return m.f[i]
 }

@@ -155,5 +155,11 @@ func (b *bucket) drain() {
 			}
 		}
 		b.ring.pop()
+		if b.sess.pending.Add(-1) == 0 {
+			select {
+			case b.sess.drained <- struct{}{}:
+			default:
+			}
+		}
 	}
 }

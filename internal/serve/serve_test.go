@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"flowpulse/internal/core"
 	"flowpulse/internal/experiments"
 	"flowpulse/internal/sim"
+	"flowpulse/internal/telemetry"
 	"flowpulse/internal/trace"
 )
 
@@ -413,6 +415,96 @@ func TestTornStreamReported(t *testing.T) {
 	if st == nil || st.Windows == 0 {
 		t.Fatalf("pre-tear windows lost: %+v", st)
 	}
+}
+
+// TestSessionDrain pins the event-driven drain: every session returns
+// its status, with no published record left unconsumed by its shard,
+// whether the stream ends cleanly, right after its header, on a
+// poisoned window, or mid-frame. 200 back-to-back sessions of the
+// committed fixture, two at a time, keep shards catching up and
+// falling behind, so drained tokens are left over and re-armed.
+func TestSessionDrain(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "flowpulse-trace", "testdata", "quick.fpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Shards: 2, Logf: func(string, ...any) {}})
+	defer srv.Drain(5 * time.Second)
+	ingest := func(stream []byte, mode, label string) (*SessionStatus, error) {
+		sess, err := srv.newSession(bytes.NewReader(stream), nil, mode, label)
+		if err != nil {
+			return nil, err
+		}
+		st, err := sess.run()
+		if n := sess.pending.Load(); n != 0 {
+			t.Errorf("%s: %d records pending at status time", label, n)
+		}
+		if st == nil {
+			t.Errorf("%s: no status (err %v)", label, err)
+		}
+		return st, err
+	}
+
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				label := fmt.Sprintf("quick-%d-%d", p, i)
+				st, err := ingest(raw, ModeSeq, label)
+				if err != nil || st == nil || st.Parity != "exact" {
+					t.Errorf("%s: status %+v, err %v", label, st, err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+
+	n, w := binary.Uvarint(raw[len(trace.Magic):])
+	headerOnly := raw[:len(trace.Magic)+w+int(n)+4]
+	if _, err := ingest(headerOnly, ModeSeq, "header-only"); err != nil {
+		t.Errorf("header-only: %v", err)
+	}
+	if _, err := ingest(raw[:len(raw)-7], ModeSeq, "torn"); err == nil || !strings.Contains(err.Error(), "mid-frame") {
+		t.Errorf("torn: err %v", err)
+	}
+	poisoned := poisonedStream(t)
+	for _, mode := range []string{ModeSeq, ModeFanout} {
+		if _, err := ingest(poisoned, mode, "poisoned-"+mode); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("poisoned %s: err %v", mode, err)
+		}
+	}
+}
+
+// poisonedStream is a 4-leaf recording whose fourth window names leaf
+// 9: the sequential replayer (shard side) and the fan-out router
+// (producer side) both reject it mid-stream, after records are queued.
+func poisonedStream(t *testing.T) []byte {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if err := w.Begin(trace.Header{
+		Label:  "poisoned",
+		Leaves: 4, Spines: 2, HostsPerLeaf: 1, Trunk: 1,
+		Jobs: []trace.JobHeader{{Predictor: "analytical", Threshold: 0.05}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	win := telemetry.Window{Packets: 8, PortBytes: []int64{1000, 1000}, SenderBytes: [][]int64{{500, 500}, {500, 500}}}
+	for i := 0; i < 8; i++ {
+		win.LeafOrdinal = i % 4
+		if i == 3 {
+			win.LeafOrdinal = 9
+		}
+		win.OpenedAt = win.ClosedAt
+		win.ClosedAt += sim.Time(50 * sim.Microsecond)
+		w.Window(&win, true, []float64{1000, 1000}, [][]float64{{500, 500}, {500, 500}})
+	}
+	if err := w.Finish(win.ClosedAt); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestMetricsScrapeDuringTCPIngest scrapes /metrics in a tight loop

@@ -9,10 +9,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"flowpulse/internal/trace"
 	"flowpulse/internal/topology"
+	"flowpulse/internal/trace"
 )
 
 // Stream modes. Sequential preserves the recording's global order
@@ -71,8 +70,44 @@ type session struct {
 	events  atomic.Int64
 	actions atomic.Int64
 
+	// pending counts records pushed onto this session's rings and not
+	// yet popped; the shard that pops the last one signals drained
+	// (capacity 1, non-blocking) so quiesce can wait without polling.
+	pending atomic.Int64
+	drained chan struct{}
+
 	errMu sync.Mutex
 	err   error
+}
+
+// newSession validates the stream mode ("" means ModeSeq) and builds a
+// session. An empty label names it after the producer's address (TCP)
+// or its session number.
+func (s *Server) newSession(src io.Reader, conn net.Conn, mode, label string) (*session, error) {
+	if mode == "" {
+		mode = ModeSeq
+	}
+	if mode != ModeSeq && mode != ModeFanout {
+		return nil, fmt.Errorf("serve: unknown mode %q", mode)
+	}
+	sess := &session{
+		srv:     s,
+		id:      s.nextSession.Add(1),
+		label:   label,
+		mode:    mode,
+		src:     src,
+		conn:    conn,
+		buckets: map[uint64]*bucket{},
+		drained: make(chan struct{}, 1),
+	}
+	switch {
+	case sess.label != "":
+	case conn != nil:
+		sess.label = fmt.Sprintf("%s-%d", conn.RemoteAddr(), sess.id)
+	default:
+		sess.label = fmt.Sprintf("session-%d", sess.id)
+	}
+	return sess, nil
 }
 
 func bucketKey(job uint16, leafOrd int) uint64 {
@@ -108,33 +143,21 @@ func (s *session) abort() {
 // defaults to ModeSeq); label names the session in alerts and logs.
 // It blocks until the stream ends — callers own the goroutine.
 func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus, error) {
-	if mode == "" {
-		mode = ModeSeq
-	}
-	if mode != ModeSeq && mode != ModeFanout {
-		return nil, fmt.Errorf("serve: unknown mode %q", mode)
-	}
-	sess := &session{
-		srv:     s,
-		id:      s.nextSession.Add(1),
-		label:   label,
-		mode:    mode,
-		src:     src,
-		buckets: map[uint64]*bucket{},
-	}
-	if sess.label == "" {
-		sess.label = fmt.Sprintf("session-%d", sess.id)
-	}
-	if err := s.register(sess); err != nil {
+	sess, err := s.newSession(src, nil, mode, label)
+	if err != nil {
 		return nil, err
 	}
-	defer s.unregister(sess)
 	return sess.run()
 }
 
 // run is the session read loop: the producer's goroutine decodes
 // frames and publishes records onto bucket rings; shards do the rest.
+// A draining server refuses the session before it reads anything.
 func (s *session) run() (*SessionStatus, error) {
+	if err := s.srv.register(s); err != nil {
+		return nil, err
+	}
+	defer s.srv.unregister(s)
 	s.rd = trace.NewFollowReader(&countingReader{r: s.src, n: &s.srv.met.bytesTotal})
 
 	var reserved *entry
@@ -178,6 +201,7 @@ func (s *session) run() (*SessionStatus, error) {
 		case rec.Kind == trace.KindWindow && dst != nil:
 			// The window decoded straight into the reserved ring slot.
 			reserved.rec = rec
+			s.pending.Add(1)
 			dst.ring.push()
 			dst.shard.enqueue(dst)
 			s.windows.Add(1)
@@ -195,6 +219,7 @@ func (s *session) run() (*SessionStatus, error) {
 			}
 			e := b.ring.reserve()
 			e.rec = rec
+			s.pending.Add(1)
 			b.ring.push()
 			b.shard.enqueue(b)
 		case rec.Kind == trace.KindTrailer:
@@ -268,22 +293,14 @@ func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
 }
 
 // quiesce waits until every record this session published has been
-// consumed by its shard. Producers have stopped, so depth only falls;
-// the atomic head/tail reads give the happens-before edge that makes
-// the shard-side state (fingerprints, counters) safe to read after.
+// consumed by its shard. The producer has stopped, so pending only
+// falls; a shard decrements it after processing and popping each
+// record, which makes the shard-side state (fingerprints, counters)
+// safe to read once it reads 0. A drained token left over from an
+// earlier moment the shards caught up only costs one more check.
 func (s *session) quiesce() {
-	for {
-		busy := false
-		for _, b := range s.allBuckets() {
-			if b.ring.depth() > 0 || b.queued.Load() != 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
+	for s.pending.Load() != 0 {
+		<-s.drained
 	}
 }
 
@@ -375,31 +392,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		fmt.Fprintf(conn, `{"error":"bad token"}`+"\n")
 		return
 	}
-	st, err := func() (*SessionStatus, error) {
-		sess := &session{
-			srv:     s,
-			id:      s.nextSession.Add(1),
-			label:   label,
-			mode:    mode,
-			src:     br,
-			conn:    conn,
-			buckets: map[uint64]*bucket{},
-		}
-		if sess.mode == "" {
-			sess.mode = ModeSeq
-		}
-		if sess.mode != ModeSeq && sess.mode != ModeFanout {
-			return nil, fmt.Errorf("serve: unknown mode %q", sess.mode)
-		}
-		if sess.label == "" {
-			sess.label = fmt.Sprintf("%s-%d", conn.RemoteAddr(), sess.id)
-		}
-		if err := s.register(sess); err != nil {
-			return nil, err
-		}
-		defer s.unregister(sess)
-		return sess.run()
-	}()
+	var st *SessionStatus
+	sess, err := s.newSession(br, conn, mode, label)
+	if err == nil {
+		st, err = sess.run()
+	}
 	if err != nil && st == nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return

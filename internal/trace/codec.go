@@ -89,6 +89,80 @@ func (d *dec) i() int64 {
 	return v
 }
 
+// deltas decodes len(row) zigzag varints into their running sum: the
+// bulk form of `prev += d.i(); row[j] = prev`, which window matrices
+// spend most of their decode time in. The offset lives in a local and
+// one-byte varints skip binary.Uvarint. After a bad varint the row's
+// tail holds the last sum and d.err/d.off are what d.i() leaves, so
+// the result is the scalar loop's, error path included.
+func (d *dec) deltas(row []int64) {
+	var prev int64
+	j := 0
+	if d.err == nil {
+		b, off := d.b, d.off
+		for ; j < len(row); j++ {
+			var ux uint64
+			if off < len(b) && b[off] < 0x80 {
+				ux = uint64(b[off])
+				off++
+			} else {
+				v, n := binary.Uvarint(b[off:])
+				if n <= 0 {
+					d.fail("trace: bad varint at offset %d", off)
+					break
+				}
+				ux = v
+				off += n
+			}
+			x := int64(ux >> 1)
+			if ux&1 != 0 {
+				x = ^x
+			}
+			prev += x
+			row[j] = prev
+		}
+		d.off = off
+	}
+	for ; j < len(row); j++ {
+		row[j] = prev
+	}
+}
+
+// xorBits decodes len(row) uvarints, XOR-folds each against cache (the
+// previous prediction's bits), writes the result back to cache and
+// stores it as a float: the bulk form of `bits := d.u() ^ cache[j]`.
+// After a bad uvarint the row's tail repeats the cached bits, as the
+// scalar loop's zero reads would.
+func (d *dec) xorBits(row []float64, cache []uint64) {
+	cache = cache[:len(row)]
+	j := 0
+	if d.err == nil {
+		b, off := d.b, d.off
+		for ; j < len(row); j++ {
+			var v uint64
+			if off < len(b) && b[off] < 0x80 {
+				v = uint64(b[off])
+				off++
+			} else {
+				var n int
+				v, n = binary.Uvarint(b[off:])
+				if n <= 0 {
+					d.fail("trace: bad uvarint at offset %d", off)
+					break
+				}
+				off += n
+			}
+			bits := v ^ cache[j]
+			cache[j] = bits
+			row[j] = math.Float64frombits(bits)
+		}
+		d.off = off
+	}
+	for ; j < len(row); j++ {
+		row[j] = math.Float64frombits(cache[j])
+	}
+}
+
 func (d *dec) raw64() uint64 {
 	if d.err != nil {
 		return 0

@@ -151,6 +151,85 @@ func FuzzWindowRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRows is the differential check of the bulk row decoders:
+// over arbitrary bytes, row lengths, start offsets and a possibly
+// already-sticky error, dec.deltas and dec.xorBits must leave the same
+// row values, offset, error text and XOR cache as the scalar d.i()/d.u()
+// loops they replace.
+func FuzzDecodeRows(f *testing.F) {
+	var e enc
+	for _, v := range []int64{0, 1, -1, 63, -64, 64, 1 << 20, -(1 << 40), math.MaxInt64, math.MinInt64} {
+		e.i(v)
+	}
+	valid := e.b
+	for cut := 0; cut <= len(valid); cut++ {
+		f.Add(valid[:cut], uint8(12), uint8(0), false) // truncated at every byte
+	}
+	overlong10 := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
+	overlong11 := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	max10 := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	f.Add(overlong10, uint8(2), uint8(0), false)
+	f.Add(overlong11, uint8(2), uint8(0), false)
+	f.Add(append([]byte{5, 7}, max10...), uint8(4), uint8(1), false)
+	f.Add(valid, uint8(3), uint8(2), true)
+	f.Fuzz(func(t *testing.T, data []byte, n, skip uint8, sticky bool) {
+		start := min(int(skip), len(data))
+		fresh := func() dec {
+			d := dec{b: data, off: start}
+			if sticky {
+				d.fail("trace: earlier failure")
+			}
+			return d
+		}
+		same := func(what string, got, want *dec) {
+			t.Helper()
+			if got.off != want.off {
+				t.Fatalf("%s: off %d, scalar %d", what, got.off, want.off)
+			}
+			if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+				t.Fatalf("%s: err %v, scalar %v", what, got.err, want.err)
+			}
+		}
+
+		bulk, scalar := fresh(), fresh()
+		got, want := make([]int64, n), make([]int64, n)
+		bulk.deltas(got)
+		var prev int64
+		for j := range want {
+			prev += scalar.i()
+			want[j] = prev
+		}
+		same("deltas", &bulk, &scalar)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("deltas: %v, scalar %v", got, want)
+		}
+
+		seedCache := func() []uint64 {
+			c := make([]uint64, n)
+			for j := range c {
+				c[j] = uint64(j+1) * 0x9E3779B97F4A7C15
+			}
+			return c
+		}
+		bulk, scalar = fresh(), fresh()
+		gotF, wantF := make([]float64, n), make([]float64, n)
+		gotC, wantC := seedCache(), seedCache()
+		bulk.xorBits(gotF, gotC)
+		for j := range wantF {
+			bits := scalar.u() ^ wantC[j]
+			wantC[j] = bits
+			wantF[j] = math.Float64frombits(bits)
+		}
+		same("xorBits", &bulk, &scalar)
+		if !floatsBitEqual(gotF, wantF) {
+			t.Fatalf("xorBits: %v, scalar %v", gotF, wantF)
+		}
+		if !reflect.DeepEqual(gotC, wantC) {
+			t.Fatalf("xorBits cache: %x, scalar %x", gotC, wantC)
+		}
+	})
+}
+
 // floatsBitEqual compares by bit pattern, so NaN inputs still have a
 // well-defined round-trip requirement.
 func floatsBitEqual(a, b []float64) bool {

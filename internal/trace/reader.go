@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
@@ -322,7 +321,7 @@ func (r *Reader) fillTo(total int) error {
 		}
 		k, err := r.src.Read(r.stash[len(r.stash):cap(r.stash)])
 		if k > 0 {
-			r.stash = r.stash[: len(r.stash)+k]
+			r.stash = r.stash[:len(r.stash)+k]
 			continue
 		}
 		if err == nil {
@@ -383,6 +382,28 @@ func f64Rows(s [][]float64, n int) [][]float64 {
 	return out
 }
 
+// carveRow reuses row when it holds n elements and otherwise carves it
+// from back, one backing array for the rest of a matrix: a fresh slot
+// then costs one allocation per matrix, not one per row. back is
+// refilled with rowsLeft rows of n when that fits in the unread
+// payload (every element costs at least a byte), so a corrupt count
+// cannot drive a giant allocation.
+func carveRow[T int64 | float64](row []T, n int, back *[]T, rowsLeft, unread int) []T {
+	if cap(row) >= n {
+		return row[:n]
+	}
+	if len(*back) < n {
+		size := n
+		if rowsLeft <= unread/n {
+			size = n * rowsLeft
+		}
+		*back = make([]T, size)
+	}
+	row = (*back)[:n:n]
+	*back = (*back)[n:]
+	return row
+}
+
 func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 	job := uint16(d.u())
 	leafOrd := int(d.u())
@@ -403,17 +424,14 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 
 	nPorts := d.count(1)
 	w.PortBytes = i64Slice(w.PortBytes, nPorts)
-	var prev int64
-	for i := range w.PortBytes {
-		prev += d.i()
-		w.PortBytes[i] = prev
-	}
+	d.deltas(w.PortBytes)
 
 	switch mode := d.kind(); mode {
 	case aggSame:
 		w.AggPortBytes = i64Slice(w.AggPortBytes, nPorts)
 		copy(w.AggPortBytes, w.PortBytes)
 	case aggDelta:
+		// Per-element deltas against PortBytes, not a running sum.
 		w.AggPortBytes = i64Slice(w.AggPortBytes, nPorts)
 		for i := range w.AggPortBytes {
 			w.AggPortBytes[i] = w.PortBytes[i] + d.i()
@@ -423,25 +441,18 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 	case aggExplicit:
 		n := d.count(1)
 		w.AggPortBytes = i64Slice(w.AggPortBytes, n)
-		prev = 0
-		for i := range w.AggPortBytes {
-			prev += d.i()
-			w.AggPortBytes[i] = prev
-		}
+		d.deltas(w.AggPortBytes)
 	default:
 		d.fail("trace: bad agg mode %d", mode)
 	}
 
 	nRows := d.count(1)
 	w.SenderBytes = i64Rows(w.SenderBytes, nRows)
+	var senderBack []int64
 	for i := 0; i < nRows && d.err == nil; i++ {
 		n := d.count(1)
-		row := i64Slice(w.SenderBytes[i], n)
-		prev = 0
-		for j := range row {
-			prev += d.i()
-			row[j] = prev
-		}
+		row := carveRow(w.SenderBytes[i], n, &senderBack, nRows-i, len(d.b)-d.off)
+		d.deltas(row)
 		w.SenderBytes[i] = row
 	}
 
@@ -458,11 +469,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		}
 		c.size(nPort, len(c.sender))
 		w.PortPred = f64Slice(w.PortPred, nPort)
-		for i := range w.PortPred {
-			bits := d.u() ^ c.port[i]
-			c.port[i] = bits
-			w.PortPred[i] = math.Float64frombits(bits)
-		}
+		d.xorBits(w.PortPred, c.port)
 		// The flattened sender count precedes the rows (see Writer) so
 		// the XOR cache can be sized before their lengths are known.
 		nPred := d.count(1)
@@ -472,6 +479,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		c.size(nPort, nPred)
 		nPredRows := d.count(1)
 		w.SenderPred = f64Rows(w.SenderPred, nPredRows)
+		var predBack []float64
 		k := 0
 		for i := 0; i < nPredRows && d.err == nil; i++ {
 			n := d.count(1)
@@ -479,13 +487,9 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 				d.fail("trace: sender prediction rows exceed declared count %d", nPred)
 				return w
 			}
-			row := f64Slice(w.SenderPred[i], n)
-			for j := range row {
-				bits := d.u() ^ c.sender[k]
-				c.sender[k] = bits
-				row[j] = math.Float64frombits(bits)
-				k++
-			}
+			row := carveRow(w.SenderPred[i], n, &predBack, nPredRows-i, len(d.b)-d.off)
+			d.xorBits(row, c.sender[k:])
+			k += n
 			w.SenderPred[i] = row
 		}
 		if d.err == nil && k != nPred {
